@@ -11,7 +11,6 @@ UCB with epsilon-greedy boundary exploration, and after evaluation
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -99,13 +98,9 @@ class OnlineTune(BaseTuner):
         self._last_improvement: Optional[float] = None
         self.traces: list[IterationTrace] = []
 
-        # overlapped featurization: a single worker thread runs
-        # ContextFeaturizer.featurize for the *next* interval while the
-        # current interval executes/observes (the featurizer is touched by
-        # nothing else, so the result is bit-identical to computing it
-        # inline at the start of suggest)
-        self._prefetch_pool: Optional[ThreadPoolExecutor] = None
-        self._prefetch_future: Optional[Tuple[WorkloadSnapshot, Future]] = None
+        # featurization done ahead of suggest by prefetch_context (the
+        # featurizer is touched by nothing else, so the result is
+        # bit-identical to computing it inline at the start of suggest)
         self._prefetch_ready: Optional[Tuple[WorkloadSnapshot, np.ndarray]] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -125,31 +120,14 @@ class OnlineTune(BaseTuner):
         falls back to inline featurization.  No-op when disabled by
         config.
 
-        The work is done synchronously: with the embedder's per-query
-        memo the steady-state featurize costs tens of microseconds,
-        which is *cheaper* than the worker-thread wake-up latency the
-        old overlapped implementation paid on single-core hosts — and
-        either way the call sits outside the timed suggest/observe
-        path.  (``_settle_prefetch`` and the pool attributes remain for
-        checkpoint compatibility with envelopes that captured an
-        in-flight prefetch.)
+        The work is done synchronously; the call sits outside the timed
+        suggest/observe path.
         """
         if snapshot is None or not self.config.prefetch_featurization:
             return
-        self._settle_prefetch()
         self._prefetch_ready = (snapshot, self.featurizer.featurize(snapshot))
 
-    def _settle_prefetch(self) -> None:
-        """Resolve any in-flight prefetch into a plain (snapshot, context)
-        pair.  Waiting (rather than cancelling) keeps the featurizer's
-        warm-up state transitions strictly sequential."""
-        if self._prefetch_future is not None:
-            snapshot, future = self._prefetch_future
-            self._prefetch_future = None
-            self._prefetch_ready = (snapshot, future.result())
-
     def _context_for(self, snapshot: WorkloadSnapshot) -> np.ndarray:
-        self._settle_prefetch()
         ready, self._prefetch_ready = self._prefetch_ready, None
         if ready is not None and self._same_snapshot(ready[0], snapshot):
             return ready[1]
@@ -167,36 +145,9 @@ class OnlineTune(BaseTuner):
         except (TypeError, ValueError):
             return False
 
-    def close(self) -> None:
-        """Release the prefetch worker thread (idempotent).
-
-        Long test sessions build many tuners; the harness calls this when
-        a session finishes so idle featurization threads don't pile up.
-        """
-        self._settle_prefetch()
-        if self._prefetch_pool is not None:
-            self._prefetch_pool.shutdown(wait=True)
-            self._prefetch_pool = None
-
-    def __getstate__(self):
-        """Pickle without the (unpicklable) prefetch machinery.
-
-        A pending prefetch is settled first — the featurizer may already
-        have consumed the snapshot during warm-up, so the computed
-        context rides along as plain state and the resumed tuner's next
-        suggest reuses it instead of re-featurizing.
-        """
-        self._settle_prefetch()
-        state = self.__dict__.copy()
-        state["_prefetch_pool"] = None
-        state["_prefetch_future"] = None
-        return state
-
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # checkpoints from before the prefetch pipeline lack its fields
-        self.__dict__.setdefault("_prefetch_pool", None)
-        self.__dict__.setdefault("_prefetch_future", None)
+        # checkpoints from before the prefetch pipeline lack its field
         self.__dict__.setdefault("_prefetch_ready", None)
 
     # -- durability (service layer) -----------------------------------------

@@ -36,7 +36,6 @@ service:
   the service core stays importable in minimal environments.)
 """
 
-from .batching import run_lockstep
 from .checkpoint import (
     CHECKPOINT_VERSION,
     SEGMENT_VERSION,
@@ -67,6 +66,7 @@ from .knowledge import (
 )
 from .lease import Lease, LeaseError, LeaseHeldError, LeaseLostError, LeaseManager
 from .service import (
+    InvalidInputError,
     StepCall,
     StepOutcome,
     TenantSpec,
@@ -94,12 +94,12 @@ __all__ = [
     "FailoverPolicy",
     "FrontendUnavailableError",
     "OverloadedError",
+    "InvalidInputError",
     "StepCall",
     "StepOutcome",
     "Janitor",
     "JanitorReport",
     "merge_batch_shards",
-    "run_lockstep",
     "Lease",
     "LeaseError",
     "LeaseHeldError",

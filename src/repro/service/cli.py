@@ -107,8 +107,6 @@ def serve_main(argv=None) -> int:
     parser.add_argument("--retry-after", type=float, default=0.05,
                         help="overload hint (seconds) in RETRY_AFTER "
                              "responses")
-    parser.add_argument("--no-fuse-appends", action="store_true",
-                        help="disable cross-tenant fused GP append drains")
     parser.add_argument("--shard-index", type=int, default=0,
                         help="this frontend's slice of the tenant "
                              "namespace in an N-frontend fleet")
@@ -168,7 +166,6 @@ def serve_main(argv=None) -> int:
                               queue_depth=args.queue_depth,
                               max_inflight=args.max_inflight,
                               retry_after=args.retry_after,
-                              fuse_appends=not args.no_fuse_appends,
                               shard_index=args.shard_index,
                               shard_count=args.shard_count)
         await server.start()

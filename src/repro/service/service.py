@@ -31,6 +31,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,8 +52,8 @@ from .knowledge import KnowledgeBase
 from .lease import DEFAULT_TTL, Lease, LeaseHeldError, LeaseLostError, LeaseManager
 from .store import CheckpointStore
 
-__all__ = ["StepCall", "StepOutcome", "TenantSpec", "TuningService",
-           "merge_batch_shards"]
+__all__ = ["InvalidInputError", "StepCall", "StepOutcome", "TenantSpec",
+           "TuningService", "merge_batch_shards"]
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +65,32 @@ PREHYDRATE_CAPACITY = 4
 #: chain grows past ``snapshot_every * JANITOR_BACKSTOP_FACTOR`` records
 #: — a bound on replay cost if the janitor is down, not a cadence
 JANITOR_BACKSTOP_FACTOR = 8
+
+
+class InvalidInputError(ValueError):
+    """A tenant call carried a value the tuner cannot learn from.
+
+    Raised by :meth:`TuningService.suggest` / :meth:`~TuningService.
+    observe` before the session, the tuner or the delta chain is
+    touched, so a malformed call leaves the tenant exactly as it was.
+    """
+
+
+def _require_finite(what: str, values: Mapping[str, Any],
+                    metrics: Mapping[str, Any]) -> None:
+    """Reject ``what`` if any named value or metric is not a finite
+    number (a NaN performance would poison every later GP fit)."""
+    named = dict(values)
+    named.update((f"metrics[{key!r}]", value)
+                 for key, value in metrics.items())
+    for name, value in named.items():
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise InvalidInputError(
+                f"{what}: {name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -436,6 +463,9 @@ class TuningService:
 
     def suggest(self, tenant_id: str, inp: SuggestInput):
         """Next configuration for one tenant interval."""
+        _require_finite("suggest",
+                        {"default_performance": inp.default_performance},
+                        inp.metrics)
         session = self._session(tenant_id)
         self._ensure_lease(tenant_id, session)
         config = session.tuner.suggest(inp)
@@ -446,6 +476,10 @@ class TuningService:
 
     def observe(self, tenant_id: str, feedback: Feedback) -> None:
         """Report a tenant interval's outcome."""
+        _require_finite("observe",
+                        {"performance": feedback.performance,
+                         "default_performance": feedback.default_performance},
+                        feedback.metrics)
         session = self._session(tenant_id)
         self._ensure_lease(tenant_id, session)
         session.tuner.observe(feedback)
@@ -552,9 +586,7 @@ class TuningService:
     def run_batch(self, specs: Mapping[str, SessionSpec],
                   register_knowledge: bool = True,
                   shard_index: int = 0,
-                  shard_count: int = 1,
-                  lockstep: bool = False,
-                  fuse_appends: bool = True) -> Dict[str, SessionResult]:
+                  shard_count: int = 1) -> Dict[str, SessionResult]:
         """Run one full session per tenant across the process pool.
 
         Each tenant's final tuner state is persisted as its checkpoint
@@ -573,15 +605,6 @@ class TuningService:
         population — bit-identical to an unsharded ``run_batch``,
         because each session is rebuilt from its spec's seeding either
         way.
-
-        ``lockstep=True`` trades the process pool for in-process
-        interval-by-interval stepping of the shard's tenants, draining
-        every tenant's pending GP appends through one fused
-        kernel-evaluation GEMM per step (``fuse_appends=False`` keeps
-        the lockstep order but skips the fusion) — see
-        :func:`repro.service.batching.run_lockstep`.  Persistence,
-        leasing, and knowledge registration are identical in both
-        modes.
         """
         tenant_ids = list(specs)
         for tenant_id in tenant_ids:
@@ -600,18 +623,11 @@ class TuningService:
                     # pre-batch tuner
                     self._drop_tenant_hold(tenant_id, stale)
                 held[tenant_id] = self._acquire_lease(tenant_id)
-            if lockstep:
-                from .batching import run_lockstep
-                outcomes, _ = run_lockstep(
-                    [specs[t] for t in shard_tenants],
-                    fuse_appends=fuse_appends)
-            else:
-                shard = self.runner.run_shard([specs[t] for t in tenant_ids],
-                                              shard_index, shard_count,
-                                              detailed=True)
-                outcomes = shard.outcomes
+            shard = self.runner.run_shard([specs[t] for t in tenant_ids],
+                                          shard_index, shard_count,
+                                          detailed=True)
             results: Dict[str, SessionResult] = {}
-            for tenant_id, outcome in zip(shard_tenants, outcomes):
+            for tenant_id, outcome in zip(shard_tenants, shard.outcomes):
                 results[tenant_id] = outcome.result
                 meta_n = (len(outcome.tuner.repo)
                           if isinstance(outcome.tuner, OnlineTune)
@@ -642,16 +658,16 @@ class TuningService:
     STEP_METHODS = ("create", "suggest", "observe", "checkpoint", "resume",
                     "close", "compact_if_due")
 
-    def step_batch(self, calls: Sequence[StepCall],
-                   fuse_appends: bool = True
+    def step_batch(self, calls: Sequence[StepCall]
                    ) -> Tuple[List[StepOutcome], Dict[str, int]]:
         """Execute one coalesced round of interactive tenant calls.
 
-        The wire frontend's per-tenant request queues drain through here:
-        each round holds *at most one call per tenant* (the queues
-        preserve per-tenant FIFO order), so a round is one lockstep step
-        of every tenant with pending work — the interactive counterpart
-        of :meth:`run_batch(lockstep=True) <run_batch>`.  Calls execute
+        This is the in-process way to step many tenants interval by
+        interval (:meth:`run_batch` runs whole sessions on a process
+        pool instead).  The wire frontend's per-tenant request queues
+        drain through here: each round holds *at most one call per
+        tenant* (the queues preserve per-tenant FIFO order), so a round
+        advances every tenant with pending work by one call.  Calls execute
         sequentially under their tenants' leases exactly as the direct
         API would; afterwards every live tenant that just observed has
         its pending GP appends drained through one fused cross-tenant
@@ -689,15 +705,17 @@ class TuningService:
         requests = []
         for tenant_id in observed:
             # drain right after observe, inside the same lease tenure the
-            # observe renewed (mirrors TuningSession.step's solo drain)
+            # observe renewed (mirrors TuningSession.run's solo drain)
             session = self._live.get(tenant_id)
             stage = (getattr(session.tuner, "stage_appends", None)
                      if session is not None else None)
             if stage is not None:
                 requests.extend(stage())
         if requests:
+            # looked up at call time so a wrapped execute_appends
+            # (tracing) sees the round's drain
             from ..gp.batching import execute_appends
-            round_stats = execute_appends(requests, fuse=fuse_appends)
+            round_stats = execute_appends(requests, fuse=True)
             for key in stats:
                 stats[key] += round_stats[key]
         return outcomes, stats

@@ -25,6 +25,7 @@ from repro.service import (
     TuningService,
     merge_batch_shards,
 )
+from repro.service.lease import DEFAULT_TTL
 from repro.service.service import JANITOR_BACKSTOP_FACTOR
 
 from service_utils import build_db, build_tuner, drive_service, drive_tuner, step
@@ -461,13 +462,15 @@ class TestReviewRegressions:
         compaction) must record the tenant as skipped and keep sweeping
         the rest of the fleet — not crash run_once."""
         service = TuningService(tmp_path, durability="delta",
-                                snapshot_every=100, compaction="janitor",
-                                lease_ttl=0.3)
+                                snapshot_every=100, compaction="janitor")
         for tenant, seed in (("a", 1), ("b", 2)):
             service.create(tenant, TenantSpec(space="case_study", seed=seed))
             drive_service(service, tenant, build_db(seed), 0, 5)
         service.store.close()               # crash: chains + leases left
-        time.sleep(0.35)                    # dead frontend's TTL passes
+        # the dead frontend's TTL passes: rewind its lease files' mtime
+        past = time.time() - DEFAULT_TTL - 5.0
+        for lease_file in (tmp_path / "leases").glob("*.lease"):
+            os.utime(lease_file, (past, past))
         janitor = Janitor(tmp_path, snapshot_every=4, lease_ttl=0.2)
         thief = LeaseManager(tmp_path / "leases", ttl=5.0, owner="thief")
         original = janitor._compact

@@ -36,6 +36,7 @@ import pytest
 from repro.baselines.base import Feedback, SuggestInput
 from repro.service import (
     FailoverExhaustedError,
+    InvalidInputError,
     OverloadedError,
     ServiceClient,
     StepCall,
@@ -238,6 +239,7 @@ class TestStepBatch:
         dbs = {"t": build_db(3), "u": build_db(9)}
         last = {"t": {}, "u": {}}
         coalesced = []
+        fused = 0
         for t in range(4):
             inputs = {}
             for tenant, db in dbs.items():
@@ -265,9 +267,12 @@ class TestStepBatch:
                 last[tenant] = result.metrics
             outcomes, stats = service.step_batch(observes)
             assert all(o.ok for o in outcomes)
+            fused += stats["fused"]
         # tenant "t" saw the exact solo trajectory despite sharing every
-        # round (and fused append drains) with tenant "u"
+        # round (and fused append drains) with tenant "u" ...
         assert json.dumps(coalesced) == json.dumps(direct)
+        # ... and those drains really went through the fused GEMM
+        assert fused > 0
 
     def test_per_call_errors_do_not_poison_the_round(self, tmp_path):
         service = TuningService(tmp_path, durability="delta")
@@ -278,13 +283,59 @@ class TestStepBatch:
                            metrics={},
                            default_performance=db.default_performance(0),
                            is_olap=profile.is_olap)
+        nan_feedback = Feedback(iteration=0, config={},
+                                performance=float("nan"), metrics={},
+                                failed=False,
+                                default_performance=inp.default_performance)
         outcomes, _ = service.step_batch(
             [StepCall("ghost", "suggest", (inp,)),      # unknown tenant
              StepCall("t", "bogus_method"),             # not in STEP_METHODS
-             StepCall("t", "suggest", (inp,))])
+             StepCall("t", "suggest", (inp,)),
+             StepCall("t", "observe", (nan_feedback,))])  # non-finite input
         assert isinstance(outcomes[0].error, KeyError)
         assert isinstance(outcomes[1].error, ValueError)
         assert outcomes[2].ok and isinstance(outcomes[2].value, dict)
+        assert isinstance(outcomes[3].error, InvalidInputError)
+
+    def test_nan_observe_is_rejected_and_does_not_poison_the_tenant(
+            self, tmp_path):
+        service = TuningService(tmp_path, durability="delta")
+        service.create("t", SPEC)
+        db = build_db(3)
+
+        def suggest(inp):
+            return service.suggest("t", inp)
+
+        def observe(feedback):
+            service.observe("t", feedback)
+
+        _, history = drive(suggest, observe, db, 0, 12)
+        chain = service.store.chain_length("t")
+
+        def poisoned(feedback):
+            bad = Feedback(iteration=feedback.iteration,
+                           config=feedback.config,
+                           performance=float("nan"),
+                           metrics=feedback.metrics, failed=feedback.failed,
+                           default_performance=feedback.default_performance)
+            with pytest.raises(InvalidInputError, match="performance"):
+                observe(bad)
+            # rejected before the chain: nothing for a resume to replay
+            assert service.store.chain_length("t") == chain
+            observe(feedback)
+
+        drive(suggest, poisoned, db, 12, 13, history)
+        configs, _ = drive(suggest, observe, db, 13, 24, history)
+        assert all(isinstance(config, dict) for config in configs)
+        # a resume replays the chain and keeps tuning past t=20 as well
+        service.resume("t")
+        configs, _ = drive(suggest, observe, db, 24, 26, history)
+        assert len(configs) == 2
+        with pytest.raises(InvalidInputError, match="metrics"):
+            service.suggest("t", SuggestInput(
+                iteration=26, snapshot=db.observe_snapshot(26),
+                metrics={"cpu_util": float("inf")},
+                default_performance=db.default_performance(26)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +484,9 @@ class SlowService(TuningService):
 
     round_delay = 0.04
 
-    def step_batch(self, calls, fuse_appends=True):
+    def step_batch(self, calls):
         time.sleep(self.round_delay)
-        return super().step_batch(calls, fuse_appends=fuse_appends)
+        return super().step_batch(calls)
 
 
 class TestBackpressure:
