@@ -23,7 +23,7 @@ test-service:    ## service/durability suites incl. the slow multi-process stres
 
 lint:            ## ruff gate (rule set in pyproject.toml); stdlib fallback when ruff is absent
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
-		$(PYTHON) -m ruff check src tests benchmarks examples tools; \
+		$(PYTHON) -m ruff check src tests benchmarks examples tools servicebench; \
 	else \
 		echo "ruff not installed; running tools/lint_fallback.py (same rule set)"; \
 		$(PYTHON) tools/lint_fallback.py; \

@@ -3,15 +3,28 @@
 Expected Improvement drives the OtterTune-style BO baseline and ResTune's
 constrained variant; UCB (Srinivas et al.) drives OnlineTune's in-safety-set
 selection (Equation 4).
+
+The standard normal CDF and PDF are written out here instead of taken from
+``scipy.stats.norm``: ``ndtr`` is what ``norm.cdf`` evaluates at loc 0 and
+scale 1, and ``_norm_pdf`` below is ``norm.pdf``'s formula, so the results
+are bit-identical, while ``scipy.stats`` (most of a frontend's import time)
+stays off the serving stack's import graph.  ``scipy.special`` is already
+loaded by ``scipy.optimize``, which the GP needs anyway.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = ["expected_improvement", "upper_confidence_bound",
            "lower_confidence_bound", "probability_of_feasibility"]
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
@@ -20,7 +33,7 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
     mean = np.asarray(mean, dtype=float)
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
     z = (mean - best - xi) / std
-    return (mean - best - xi) * norm.cdf(z) + std * norm.pdf(z)
+    return (mean - best - xi) * ndtr(z) + std * _norm_pdf(z)
 
 
 def upper_confidence_bound(mean: np.ndarray, std: np.ndarray,
@@ -39,4 +52,4 @@ def probability_of_feasibility(mean: np.ndarray, std: np.ndarray,
     constrained EI (EI x PoF)."""
     mean = np.asarray(mean, dtype=float)
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
-    return 1.0 - norm.cdf((threshold - mean) / std)
+    return 1.0 - ndtr((threshold - mean) / std)

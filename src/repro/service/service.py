@@ -46,6 +46,7 @@ from ..harness.runner import (
     SessionSpec,
     shard_specs,
 )
+from ..knobs.knob import KnobSpace
 from ..workloads.base import WorkloadSnapshot
 from .checkpoint import CheckpointError
 from .knowledge import KnowledgeBase
@@ -91,6 +92,33 @@ def _require_finite(what: str, values: Mapping[str, Any],
         if not finite:
             raise InvalidInputError(
                 f"{what}: {name} must be a finite number, got {value!r}")
+
+
+def _require_config(space: KnobSpace, config: Mapping[str, Any]) -> None:
+    """Reject an observed ``config`` that is not a point of ``space``.
+
+    It must name exactly the space's knobs, each with a value its knob
+    keeps unchanged under ``clip`` (numeric: finite and within ``[low,
+    high]``; enum: one of the choices).  The tuner would otherwise clip
+    or default it and learn the outcome under a configuration the
+    tenant never ran.
+    """
+    if set(config) != set(space.names):
+        unknown = sorted(map(str, set(config) - set(space.names)))
+        missing = [name for name in space.names if name not in config]
+        raise InvalidInputError(
+            f"observe: config knobs do not match the tenant's space "
+            f"(unknown {unknown}, missing {missing})")
+    for knob in space:
+        value = config[knob.name]
+        try:
+            legal = bool(knob.clip(value) == value)
+        except (TypeError, ValueError, OverflowError):
+            legal = False
+        if not legal:
+            raise InvalidInputError(
+                f"observe: config[{knob.name!r}] = {value!r} is not a "
+                f"legal value of the knob")
 
 
 @dataclass(frozen=True)
@@ -481,6 +509,7 @@ class TuningService:
                          "default_performance": feedback.default_performance},
                         feedback.metrics)
         session = self._session(tenant_id)
+        _require_config(session.tuner.space, feedback.config)
         self._ensure_lease(tenant_id, session)
         session.tuner.observe(feedback)
         session.dirty_steps += 1

@@ -275,6 +275,46 @@ class TestAcquisitions:
         assert pof[0] == pytest.approx(0.5, abs=1e-9)
 
 
+class TestAcquisitionExactness:
+    """EI and PoF evaluate the standard normal without ``scipy.stats``;
+    they must stay bit-identical to the ``scipy.stats.norm`` formulas
+    (``scipy.stats`` is imported here only, never by the package)."""
+
+    @staticmethod
+    def _cases(rng):
+        n = 200
+        random = (rng.normal(scale=3.0, size=n), rng.random(n) * 2.0)
+        floored = (rng.normal(size=n),                       # std floor
+                   np.concatenate([np.zeros(n // 2),
+                                   rng.random(n - n // 2) * 1e-13]))
+        wide_z = (np.linspace(-40.0, 40.0, n), np.ones(n))    # |z| up to 40
+        huge = (np.array([1e300, -1e300, 1e300, -1e300, 0.0]),
+                np.array([1.0, 1.0, 1e-12, 0.0, 1e-300]))
+        return [random, floored, wide_z, huge]
+
+    def test_expected_improvement_matches_scipy_norm(self, rng):
+        norm = pytest.importorskip("scipy.stats").norm
+        for mean, std in self._cases(rng):
+            for best, xi in ((0.0, 0.0), (0.7, 0.01), (-2.5, 0.0)):
+                floored = np.maximum(std, 1e-12)
+                with np.errstate(over="ignore"):
+                    z = (mean - best - xi) / floored
+                    want = ((mean - best - xi) * norm.cdf(z)
+                            + floored * norm.pdf(z))
+                    got = expected_improvement(mean, std, best=best, xi=xi)
+                assert np.array_equal(got, want)
+
+    def test_probability_of_feasibility_matches_scipy_norm(self, rng):
+        norm = pytest.importorskip("scipy.stats").norm
+        for mean, std in self._cases(rng):
+            for threshold in (0.0, 1.3, -4.0):
+                floored = np.maximum(std, 1e-12)
+                with np.errstate(over="ignore"):
+                    want = 1.0 - norm.cdf((threshold - mean) / floored)
+                    got = probability_of_feasibility(mean, std, threshold)
+                assert np.array_equal(got, want)
+
+
 class TestWarmStartHyperopt:
     """Large doubling-schedule refits warm-start L-BFGS from the last
     optimum with a bounded budget; small refits keep the full search."""

@@ -337,6 +337,65 @@ class TestStepBatch:
                 metrics={"cpu_util": float("inf")},
                 default_performance=db.default_performance(26)))
 
+    def test_observe_outside_the_knob_space_is_rejected(self, tmp_path):
+        service = TuningService(tmp_path, durability="delta")
+        service.create("t", SPEC)
+        db = build_db(3)
+
+        def suggest(inp):
+            return service.suggest("t", inp)
+
+        def observe(feedback):
+            service.observe("t", feedback)
+
+        _, history = drive(suggest, observe, db, 0, 12)
+        chain = service.store.chain_length("t")
+        n_observed = len(service._live["t"].tuner.repo)
+
+        def bogus(feedback):
+            def with_config(config):
+                return Feedback(iteration=feedback.iteration, config=config,
+                                performance=feedback.performance,
+                                metrics=feedback.metrics,
+                                failed=feedback.failed,
+                                default_performance=feedback.default_performance)
+
+            good = dict(feedback.config)
+            missing = dict(good)
+            del missing["sort_buffer_size"]
+            bad = [
+                ({"nope": 1}, "nope"),
+                ({**good, "nope": 1}, "nope"),
+                (missing, "sort_buffer_size"),
+                ({**good, "innodb_buffer_pool_size": 1e30},
+                 "innodb_buffer_pool_size"),
+                ({**good, "innodb_spin_wait_delay": -1},
+                 "innodb_spin_wait_delay"),
+                ({**good, "sort_buffer_size": float("inf")},
+                 "sort_buffer_size"),
+                ({**good, "sort_buffer_size": float("nan")},
+                 "sort_buffer_size"),
+                ({**good, "innodb_spin_wait_delay": "fast"},
+                 "innodb_spin_wait_delay"),
+                ({**good, "innodb_flush_log_at_trx_commit": 3},
+                 "innodb_flush_log_at_trx_commit"),
+            ]
+            for config, knob in bad:
+                with pytest.raises(InvalidInputError, match=knob):
+                    observe(with_config(config))
+            outcomes, _ = service.step_batch(
+                [StepCall("t", "observe", (with_config({"nope": 1}),))])
+            assert isinstance(outcomes[0].error, InvalidInputError)
+            # rejected before the tuner and the chain were touched
+            assert service.store.chain_length("t") == chain
+            assert len(service._live["t"].tuner.repo) == n_observed
+            observe(feedback)
+
+        drive(suggest, bogus, db, 12, 13, history)
+        assert service.store.chain_length("t") == chain + 1
+        configs, _ = drive(suggest, observe, db, 13, 16, history)
+        assert len(configs) == 3
+
 
 # ---------------------------------------------------------------------------
 # wire equivalence

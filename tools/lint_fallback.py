@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 MAX_LINE = 100
-DEFAULT_ROOTS = ("src", "tests", "benchmarks", "examples", "tools")
+DEFAULT_ROOTS = ("src", "tests", "benchmarks", "examples", "tools", "servicebench")
 #: mirrors [tool.ruff.lint.per-file-ignores]: the workload modules carry
 #: verbatim benchmark SQL templates that must not be wrapped
 E501_EXEMPT = ("src/repro/workloads/tpcc.py", "src/repro/workloads/twitter.py")
